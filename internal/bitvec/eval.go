@@ -1,6 +1,9 @@
 package bitvec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Env supplies concrete values for expression leaves during evaluation.
 type Env interface {
@@ -187,4 +190,84 @@ func evalBin(op Op, w, opw uint8, x, y uint64) uint64 {
 		return b(signExtend(x, opw) <= signExtend(y, opw))
 	}
 	panic("bitvec: evalBin: bad op " + op.Name())
+}
+
+// CompileSlots compiles e for repeated evaluation with its fields bound
+// by position: the returned function reads field names[i] from
+// vals[i]. It computes what Eval computes under an Env mapping each
+// name to its slot, without map lookups or allocation per call, for
+// callers that probe one expression under many assignments. It fails
+// when e contains a Ref or a field that is not in names.
+func CompileSlots(e *Expr, names []string) (func(vals []uint64) uint64, error) {
+	switch e.Op {
+	case OpConst:
+		v := e.Val
+		return func([]uint64) uint64 { return v }, nil
+	case OpField:
+		i := slices.Index(names, e.Name)
+		if i < 0 {
+			return nil, fmt.Errorf("bitvec: no slot for field %q", e.Name)
+		}
+		m := Mask(e.W)
+		return func(vals []uint64) uint64 { return vals[i] & m }, nil
+	case OpRef:
+		return nil, fmt.Errorf("bitvec: no slot for ref %q", e.Name)
+	}
+
+	x, err := CompileSlots(e.X, names)
+	if err != nil {
+		return nil, err
+	}
+	m := Mask(e.W)
+	switch e.Op {
+	case OpNot:
+		return func(vals []uint64) uint64 { return ^x(vals) & m }, nil
+	case OpNeg:
+		return func(vals []uint64) uint64 { return -x(vals) & m }, nil
+	case OpZExt:
+		return x, nil
+	case OpSExt:
+		xw := e.X.W
+		return func(vals []uint64) uint64 { return uint64(signExtend(x(vals), xw)) & m }, nil
+	case OpBool:
+		return func(vals []uint64) uint64 {
+			if x(vals) != 0 {
+				return 1
+			}
+			return 0
+		}, nil
+	case OpLNot:
+		return func(vals []uint64) uint64 {
+			if x(vals) == 0 {
+				return 1
+			}
+			return 0
+		}, nil
+	case OpExtr:
+		lo := e.Lo
+		return func(vals []uint64) uint64 { return (x(vals) >> lo) & m }, nil
+	}
+
+	y, err := CompileSlots(e.Y, names)
+	if err != nil {
+		return nil, err
+	}
+	switch e.Op {
+	case OpIte:
+		y2, err := CompileSlots(e.Y2, names)
+		if err != nil {
+			return nil, err
+		}
+		return func(vals []uint64) uint64 {
+			if x(vals) != 0 {
+				return y(vals)
+			}
+			return y2(vals)
+		}, nil
+	case OpConcat:
+		yw := e.Y.W
+		return func(vals []uint64) uint64 { return (x(vals)<<yw | y(vals)) & m }, nil
+	}
+	op, w, opw := e.Op, e.W, e.X.W
+	return func(vals []uint64) uint64 { return evalBin(op, w, opw, x(vals), y(vals)) }, nil
 }

@@ -245,3 +245,38 @@ func TestQuickSimplifyWidthStable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickCompileSlotsMatchesEval: a slot-compiled expression computes
+// what Eval computes when each slot's field maps to its value.
+func TestQuickCompileSlotsMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 2000; i++ {
+		e := randExpr(rng, 5, propFields)
+		names := e.Fields()
+		eval, err := CompileSlots(e, names)
+		if err != nil {
+			t.Fatalf("iteration %d: %v for %s", i, err, e)
+		}
+		env := randEnv(rng)
+		vals := make([]uint64, len(names))
+		for j, n := range names {
+			vals[j] = env.Fields[n]
+		}
+		want := evalOK(t, e, env)
+		if got := eval(vals); got != want {
+			t.Fatalf("iteration %d: slots %d != Eval %d for %s under %v", i, got, want, e, env.Fields)
+		}
+	}
+}
+
+// TestCompileSlotsRejectsUnboundLeaves: refs and fields outside names
+// have no slot.
+func TestCompileSlotsRejectsUnboundLeaves(t *testing.T) {
+	a := Field("a", 16, 0)
+	if _, err := CompileSlots(Add(a, Field("b", 16, 2)), []string{"a"}); err == nil {
+		t.Error("field outside names compiled")
+	}
+	if _, err := CompileSlots(Add(a, Ref("r", 16)), []string{"a"}); err == nil {
+		t.Error("ref compiled")
+	}
+}

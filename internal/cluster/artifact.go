@@ -47,7 +47,7 @@ func bundleDigest(index, fingerprints []byte) string {
 func (n *Node) handleArtifact(w http.ResponseWriter, _ *http.Request) {
 	ix, err := n.srv.Corpus().Index()
 	if err != nil {
-		n.writeError(w, http.StatusInternalServerError, err)
+		n.srv.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	fp := ix.Fingerprints()
@@ -58,15 +58,15 @@ func (n *Node) handleArtifact(w http.ResponseWriter, _ *http.Request) {
 	}
 	ixData, err := json.Marshal(ix)
 	if err != nil {
-		n.writeError(w, http.StatusInternalServerError, err)
+		n.srv.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	fpData, err := json.Marshal(fp)
 	if err != nil {
-		n.writeError(w, http.StatusInternalServerError, err)
+		n.srv.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	n.writeJSON(w, http.StatusOK, artifactBundle{
+	n.srv.WriteJSON(w, http.StatusOK, artifactBundle{
 		Digest:       bundleDigest(ixData, fpData),
 		Index:        ixData,
 		Fingerprints: fpData,

@@ -253,49 +253,20 @@ func (n *Node) clusterStats() server.ClusterStats {
 	}
 }
 
-func (n *Node) writeError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func (n *Node) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		n.logf("cluster: encoding response: %v", err)
-	}
-}
-
-// readBounded reads a request body under the shared JSON bound,
-// mapping an oversized body to 413 exactly like the inner server.
-func readBounded(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, server.MaxJSONBody)
-	body, err := io.ReadAll(r.Body)
-	if err == nil {
-		return body, 0, nil
-	}
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-	}
-	return nil, http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
-}
-
 // handleTransfer is the cluster front door: any node accepts any
 // request, computes its content key, and either serves it locally
 // (this node owns the key, the ring is empty, or the request already
 // hopped once) or forwards it to the ring owner and relays the
 // response bytes verbatim.
 func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
-	body, code, err := readBounded(w, r)
+	body, code, err := server.ReadBody(w, r, server.MaxJSONBody)
 	if err != nil {
-		n.writeError(w, code, err)
+		n.srv.WriteError(w, code, err)
 		return
 	}
 	var req server.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		n.srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	key := server.ContentKey(&req)
@@ -328,7 +299,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner string, bod
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
-		n.writeError(w, http.StatusInternalServerError, err)
+		n.srv.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -410,7 +381,7 @@ func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			Fraction: ring.Fraction(m),
 		})
 	}
-	n.writeJSON(w, http.StatusOK, view)
+	n.srv.WriteJSON(w, http.StatusOK, view)
 }
 
 type memberChange struct {
@@ -422,11 +393,11 @@ type memberChange struct {
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var ch memberChange
 	if code, err := server.DecodeJSONBody(w, r, server.MaxJSONBody, &ch); err != nil {
-		n.writeError(w, code, err)
+		n.srv.WriteError(w, code, err)
 		return
 	}
 	if ch.Node == "" {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("leave names no node"))
+		n.srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("leave names no node"))
 		return
 	}
 	n.mu.Lock()
@@ -434,7 +405,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	n.rebuildRingLocked()
 	n.mu.Unlock()
 	n.logf("cluster: %s left the ring", ch.Node)
-	n.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	n.srv.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleJoin admits a member into this node's view (a drained node's
@@ -442,11 +413,11 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var ch memberChange
 	if code, err := server.DecodeJSONBody(w, r, server.MaxJSONBody, &ch); err != nil {
-		n.writeError(w, code, err)
+		n.srv.WriteError(w, code, err)
 		return
 	}
 	if ch.Node == "" {
-		n.writeError(w, http.StatusBadRequest, fmt.Errorf("join names no node"))
+		n.srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("join names no node"))
 		return
 	}
 	n.mu.Lock()
@@ -454,7 +425,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	n.rebuildRingLocked()
 	n.mu.Unlock()
 	n.logf("cluster: %s joined the ring", ch.Node)
-	n.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	n.srv.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Drain removes this node from the ring and hands its queued jobs to

@@ -47,14 +47,14 @@ type stolenResult struct {
 func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	var req stealRequest
 	if code, err := server.DecodeJSONBody(w, r, server.MaxJSONBody, &req); err != nil {
-		n.writeError(w, code, err)
+		n.srv.WriteError(w, code, err)
 		return
 	}
 	if req.Max <= 0 {
 		req.Max = n.cfg.stealBatch()
 	}
 	if n.isDraining() {
-		n.writeJSON(w, http.StatusOK, stealResponse{})
+		n.srv.WriteJSON(w, http.StatusOK, stealResponse{})
 		return
 	}
 	jobs := n.srv.TakeQueued(req.Max)
@@ -68,7 +68,7 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if len(jobs) > 0 {
 		n.logf("cluster: %s stole %d queued job(s)", req.Thief, len(jobs))
 	}
-	n.writeJSON(w, http.StatusOK, resp)
+	n.srv.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStolen accepts a thief's result for a previously stolen job
@@ -76,7 +76,7 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleStolen(w http.ResponseWriter, r *http.Request) {
 	var res stolenResult
 	if code, err := server.DecodeJSONBody(w, r, server.MaxJSONBody, &res); err != nil {
-		n.writeError(w, code, err)
+		n.srv.WriteError(w, code, err)
 		return
 	}
 	n.mu.Lock()
@@ -84,13 +84,13 @@ func (n *Node) handleStolen(w http.ResponseWriter, r *http.Request) {
 	delete(n.pending, res.ID)
 	n.mu.Unlock()
 	if !ok {
-		n.writeError(w, http.StatusNotFound, fmt.Errorf("no pending stolen job %q", res.ID))
+		n.srv.WriteError(w, http.StatusNotFound, fmt.Errorf("no pending stolen job %q", res.ID))
 		return
 	}
 	n.completeFromEnvelope(job, &rawEnvelope{
 		ID: res.ID, Status: res.Status, Error: res.Error, Report: res.Report,
 	}, r.Header.Get(forwardedHeader))
-	n.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	n.srv.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // stealLoop polls for stealable work whenever this node is idle.

@@ -18,6 +18,7 @@ package diode
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"codephage/internal/bitvec"
 	"codephage/internal/hachoir"
@@ -209,6 +210,10 @@ func Discover(mod *ir.Module, seed []byte, dis *hachoir.Dissection, opts Options
 	// bounded solver call on top of what the search already paid.
 	session.MaxConflicts = prefilterConflictBudget
 
+	// One runner confirms every candidate of every site. It is made on
+	// the first candidate: a rescan whose sites are all proven
+	// overflow-free runs none.
+	var runner *vm.Runner
 	for ai, a := range allocs {
 		fnName := mod.Funcs[a.Fn].Name
 		if opts.VulnFn != "" && fnName != opts.VulnFn {
@@ -231,9 +236,11 @@ func Discover(mod *ir.Module, seed []byte, dis *hachoir.Dissection, opts Options
 		rng := rand.New(rand.NewSource(opts.RandSeed + 0xD10DE + int64(ai)*0x9E3779B9))
 		for _, cand := range searchWrap(a.SizeExpr, dis, seed, opts.maxWrapped(), rng) {
 			input := MutateFields(seed, dis, cand.assign)
-			v := vm.New(mod, input)
-			v.MaxSteps = opts.MaxSteps
-			r := v.Run()
+			if runner == nil {
+				runner = vm.NewRunner(mod)
+				runner.MaxSteps = opts.MaxSteps
+			}
+			r := runner.Run(input)
 			if r.OK() || r.Trap.Kind == vm.TrapStepLimit {
 				continue // wrapped but did not manifest; try other candidates
 			}
@@ -258,81 +265,85 @@ type candidate struct {
 // corner-value enumeration (including each field's seed value, so
 // validated fields like component counts can stay legal) followed by
 // random probing. Non-size fields keep their seed values.
+//
+// Probes run over a slot array in names order: size and Widen(size)
+// are compiled once, each field's corner table is built once, and a map
+// assignment is built only for an accepted candidate. Both evaluators
+// read only the fields in names, all of which every probe sets, so the
+// seed values of the other fields never enter a probe.
 func searchWrap(size *bitvec.Expr, dis *hachoir.Dissection, seed []byte, maxWrapped uint64, rng *rand.Rand) []candidate {
 	const maxCandidates = 64
-	seedVals := dis.FieldValues(seed)
 	names := size.Fields()
 	if len(names) == 0 || len(names) > 6 {
 		return nil
 	}
-	widths := map[string]uint8{}
+	narrowOf, err1 := bitvec.CompileSlots(size, names)
+	wideOf, err2 := bitvec.CompileSlots(Widen(size), names)
+	if err1 != nil || err2 != nil {
+		return nil
+	}
+	seedVals := dis.FieldValues(seed)
+	seeds := make([]uint64, len(names))
+	for i, n := range names {
+		seeds[i] = seedVals[n]
+	}
+	widths := make([]uint8, len(names))
 	size.Walk(func(n *bitvec.Expr) {
 		if n.Op == bitvec.OpField {
-			widths[n.Name] = n.W
+			widths[slices.Index(names, n.Name)] = n.W
 		}
 	})
-	wide := Widen(size)
+	corners := make([][]uint64, len(names))
+	for i, w := range widths {
+		m := bitvec.Mask(w)
+		cs := []uint64{seeds[i], m, m - 1, m >> 1, m>>1 + 1, m - 255,
+			1 << (w - 1), 4, 3, 2, 1}
+		for j := range cs {
+			cs[j] &= m
+		}
+		corners[i] = cs
+	}
 
 	var found []candidate
-	try := func(assign map[string]uint64) {
-		env := bitvec.MapEnv{Fields: map[string]uint64{}}
-		for k, v := range seedVals {
-			env.Fields[k] = v
-		}
-		for k, v := range assign {
-			env.Fields[k] = v
-		}
-		nv, err1 := bitvec.Eval(size, env)
-		wv, err2 := bitvec.Eval(wide, env)
-		if err1 != nil || err2 != nil {
-			return
-		}
+	vals := make([]uint64, len(names))
+	try := func() {
+		nv, wv := narrowOf(vals), wideOf(vals)
 		if nv != wv && nv > 0 && nv < maxWrapped {
+			assign := make(map[string]uint64, len(names))
+			for i, n := range names {
+				assign[n] = vals[i]
+			}
 			found = append(found, candidate{assign: assign, narrow: nv, wide: wv})
 		}
 	}
 
-	corners := func(name string) []uint64 {
-		w := widths[name]
-		m := bitvec.Mask(w)
-		out := []uint64{seedVals[name], m, m - 1, m >> 1, m>>1 + 1, m - 255,
-			1 << (w - 1), 4, 3, 2, 1}
-		for i := range out {
-			out[i] &= m
-		}
-		return out
-	}
-
 	// Corner product enumeration, capped.
 	total := 1
-	for _, n := range names {
-		total *= len(corners(n))
+	for _, cs := range corners {
+		total *= len(cs)
 		if total >= 1<<16 {
 			total = 1 << 16
 			break
 		}
 	}
 	for idx := 0; idx < total && len(found) < maxCandidates; idx++ {
-		assign := map[string]uint64{}
 		rem := idx
-		for _, n := range names {
-			cs := corners(n)
-			assign[n] = cs[rem%len(cs)]
+		for i, cs := range corners {
+			vals[i] = cs[rem%len(cs)]
 			rem /= len(cs)
 		}
-		try(assign)
+		try()
 	}
 	// Random probing: full-random and seed-anchored (mutate a subset).
 	for i := 0; i < 30000 && len(found) < maxCandidates; i++ {
-		assign := map[string]uint64{}
-		for _, n := range names {
+		for j, w := range widths {
 			if i%2 == 1 && rng.Intn(2) == 0 {
-				assign[n] = seedVals[n]
+				vals[j] = seeds[j]
 			} else {
-				assign[n] = rng.Uint64() & bitvec.Mask(widths[n])
+				vals[j] = rng.Uint64() & bitvec.Mask(w)
 			}
 		}
-		try(assign)
+		try()
 	}
 	return found
 }

@@ -50,10 +50,10 @@ type Crash struct {
 // Find searches for an input derived from the seed that crashes the
 // module. It returns nil if the campaign finds nothing.
 func Find(mod *ir.Module, seed []byte, dis *hachoir.Dissection, opts Options) *Crash {
+	runner := vm.NewRunner(mod)
+	runner.MaxSteps = opts.MaxSteps
 	run := func(input []byte) *vm.Trap {
-		v := vm.New(mod, input)
-		v.MaxSteps = opts.MaxSteps
-		r := v.Run()
+		r := runner.Run(input)
 		if r.Trap != nil && r.Trap.Kind != vm.TrapStepLimit {
 			return r.Trap
 		}
@@ -122,10 +122,10 @@ func Find(mod *ir.Module, seed []byte, dis *hachoir.Dissection, opts Options) *C
 // constructed. It mutates each dissected field toward benign corner
 // values until the application processes the input successfully.
 func DeriveSeed(mod *ir.Module, errorInput []byte, dis *hachoir.Dissection, opts Options) []byte {
+	runner := vm.NewRunner(mod)
+	runner.MaxSteps = opts.MaxSteps
 	ok := func(input []byte) bool {
-		v := vm.New(mod, input)
-		v.MaxSteps = opts.MaxSteps
-		r := v.Run()
+		r := runner.Run(input)
 		return r.OK() && r.ExitCode == 0
 	}
 	if ok(errorInput) {

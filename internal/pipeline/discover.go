@@ -119,7 +119,8 @@ func DiscoverChecks(donor *ir.Module, seed, errIn []byte, dis *hachoir.Dissectio
 func SelectDonors(db []*ir.Module, seed, errIn []byte) []*ir.Module {
 	var out []*ir.Module
 	for _, donor := range db {
-		if vm.New(donor, seed).Run().OK() && vm.New(donor, errIn).Run().OK() {
+		r := vm.NewRunner(donor)
+		if r.Run(seed).OK() && r.Run(errIn).OK() {
 			out = append(out, donor)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"codephage/internal/apps"
@@ -46,7 +47,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /patches/{key}", s.handlePatch)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		s.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	return mux
@@ -62,16 +63,17 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if !r.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, code, r)
+	s.WriteJSON(w, code, r)
 }
 
-// writeJSON writes a JSON response body. Encode failures — a client
+// WriteJSON writes a JSON response body. Encode failures — a client
 // that hung up mid-body, a broken pipe — cannot be reported to that
 // client anymore, but they must not vanish either: each one is
 // counted (phaged_response_encode_failures_total) and logged, so a
 // spike of half-written responses is visible on /metrics instead of
-// silently dropped on the floor.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+// silently dropped on the floor. Exported so the cluster front door
+// answers through the same path.
+func (s *Server) WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -80,8 +82,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
-	s.writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError writes err as a JSON {"error": ...} response body.
+func (s *Server) WriteError(w http.ResponseWriter, code int, err error) {
+	s.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // MaxJSONBody bounds every JSON request body the daemon accepts:
@@ -102,21 +105,39 @@ const MaxPatchBody = 16 << 20
 // applies the identical bound before routing.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil {
-		return 0, nil
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return bodyError("decoding", err)
 	}
+	return 0, nil
+}
+
+// ReadBody reads a request body of at most limit bytes, with the
+// statuses of DecodeJSONBody: 413 for an oversized body, 400 for a
+// failed read. Exported so the cluster front door buffers a request
+// under the identical bound before routing it.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		code, err := bodyError("reading", err)
+		return nil, code, err
+	}
+	return body, 0, nil
+}
+
+// bodyError maps a failed bounded body read to its HTTP status.
+func bodyError(op string, err error) (int, error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
 	}
-	return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+	return http.StatusBadRequest, fmt.Errorf("%s request: %w", op, err)
 }
 
 func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if code, err := DecodeJSONBody(w, r, MaxJSONBody, &req); err != nil {
-		s.writeError(w, code, err)
+		s.WriteError(w, code, err)
 		return
 	}
 	job, dedup, err := s.Submit(&req)
@@ -125,7 +146,7 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrShuttingDown) || errors.Is(err, ErrQueueFull) {
 			code = http.StatusServiceUnavailable
 		}
-		s.writeError(w, code, err)
+		s.WriteError(w, code, err)
 		return
 	}
 	q := r.URL.Query()
@@ -133,11 +154,11 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	case q.Get("stream") != "":
 		s.streamJob(w, r, job, dedup)
 	case q.Get("async") != "":
-		s.writeJSON(w, http.StatusAccepted, job.Envelope(dedup))
+		s.WriteJSON(w, http.StatusAccepted, job.Envelope(dedup))
 	default:
 		select {
 		case <-job.Done():
-			s.writeJSON(w, http.StatusOK, job.Envelope(dedup))
+			s.WriteJSON(w, http.StatusOK, job.Envelope(dedup))
 		case <-r.Context().Done():
 			// The client went away; the job keeps running and stays
 			// addressable by ID and dedupable by key.
@@ -191,24 +212,24 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job, ded
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
+		s.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	tr := job.Trace()
 	if tr == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no trace (status %s)", job.ID, job.Status()))
+		s.WriteError(w, http.StatusNotFound, fmt.Errorf("job %q has no trace (status %s)", job.ID, job.Status()))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, tr)
+	s.WriteJSON(w, http.StatusOK, tr)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
+		s.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, job.Envelope(false))
+	s.WriteJSON(w, http.StatusOK, job.Envelope(false))
 }
 
 // TargetInfo is one catalogue entry of the /v1/targets listing.
@@ -231,7 +252,7 @@ func (s *Server) handleTargets(w http.ResponseWriter, _ *http.Request) {
 			Donors:    t.Donors,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.WriteJSON(w, http.StatusOK, out)
 }
 
 // CorpusInfo is the /corpus payload: the warm index plus the
@@ -247,10 +268,10 @@ type CorpusInfo struct {
 func (s *Server) handleCorpus(w http.ResponseWriter, _ *http.Request) {
 	ix, err := s.corpus.Index()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, CorpusInfo{Stats: s.corpus.Stats(), Index: ix})
+	s.WriteJSON(w, http.StatusOK, CorpusInfo{Stats: s.corpus.Stats(), Index: ix})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -145,7 +144,7 @@ func (r *patchRegistry) len() int {
 
 // handlePatches serves the artifact listing.
 func (s *Server) handlePatches(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.patches.list())
+	s.WriteJSON(w, http.StatusOK, s.patches.list())
 }
 
 // handlePatchPut accepts an uploaded encoded artifact, bounded like
@@ -154,26 +153,19 @@ func (s *Server) handlePatches(w http.ResponseWriter, _ *http.Request) {
 // itself: its key is its content hash, so the registry accepts any
 // well-formed body and dedups re-uploads.
 func (s *Server) handlePatchPut(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxPatchBody)
-	data, err := io.ReadAll(r.Body)
+	data, status, err := ReadBody(w, r, MaxPatchBody)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		s.WriteError(w, status, err)
 		return
 	}
 	a, err := patch.Decode(data)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding artifact: %w", err))
+		s.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding artifact: %w", err))
 		return
 	}
 	key, fresh, err := s.patches.add(a)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if fresh {
@@ -183,7 +175,7 @@ func (s *Server) handlePatchPut(w http.ResponseWriter, r *http.Request) {
 	if fresh {
 		code = http.StatusCreated
 	}
-	s.writeJSON(w, code, map[string]any{"key": key, "fresh": fresh})
+	s.WriteJSON(w, code, map[string]any{"key": key, "fresh": fresh})
 }
 
 // handlePatch serves one encoded artifact by content key. The bytes
@@ -193,7 +185,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	data, ok := s.patches.bytes(key)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such patch artifact %q", key))
+		s.WriteError(w, http.StatusNotFound, fmt.Errorf("no such patch artifact %q", key))
 		return
 	}
 	s.counter.patchFetches.Add(1)

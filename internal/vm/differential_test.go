@@ -265,10 +265,12 @@ func sameTrap(a, b *Trap) bool {
 	return a == nil || *a == *b
 }
 
-func compareRuns(t *testing.T, label string, want, got *Result, wantTr, gotTr *diffTracer) {
+// compareResults fails the test unless two runs agree on exit code,
+// step count, trap (kind, address, fn, pc and line) and output.
+func compareResults(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if want.ExitCode != got.ExitCode || want.Steps != got.Steps || !sameTrap(want.Trap, got.Trap) {
-		t.Fatalf("%s: result diverges: fresh={exit:%d steps:%d trap:%v} recycled={exit:%d steps:%d trap:%v}",
+		t.Fatalf("%s: result diverges: want={exit:%d steps:%d trap:%v} got={exit:%d steps:%d trap:%v}",
 			label, want.ExitCode, want.Steps, want.Trap, got.ExitCode, got.Steps, got.Trap)
 	}
 	if len(want.Output) != len(got.Output) {
@@ -276,9 +278,14 @@ func compareRuns(t *testing.T, label string, want, got *Result, wantTr, gotTr *d
 	}
 	for i := range want.Output {
 		if want.Output[i] != got.Output[i] {
-			t.Fatalf("%s: output[%d] = %d, fresh VM produced %d", label, i, got.Output[i], want.Output[i])
+			t.Fatalf("%s: output[%d] = %d, want %d", label, i, got.Output[i], want.Output[i])
 		}
 	}
+}
+
+func compareRuns(t *testing.T, label string, want, got *Result, wantTr, gotTr *diffTracer) {
+	t.Helper()
+	compareResults(t, label, want, got)
 	if len(wantTr.events) != len(gotTr.events) {
 		t.Fatalf("%s: trace lengths %d != %d", label, len(wantTr.events), len(gotTr.events))
 	}
@@ -336,6 +343,83 @@ func TestRunnerRecycledMatchesFreshVM(t *testing.T) {
 
 			label := fmt.Sprintf("program %d input %d", p, k)
 			compareRuns(t, label, want, got, wantTr, gotTr)
+		}
+	}
+}
+
+// noopTracer attaches a tracer that ignores every event.
+type noopTracer struct{}
+
+func (noopTracer) Step(*Event) {}
+
+// TestUntracedMatchesTraced: untraced runs skip building the per-step
+// Event, so they take a different path through exec than traced runs.
+// Over the randomized programs, one Runner alternating untraced runs
+// and runs under a no-op tracer must produce identical Results.
+func TestUntracedMatchesTraced(t *testing.T) {
+	r := rand.New(rand.NewSource(0x7EACE0FF))
+	for p := 0; p < 200; p++ {
+		mod := genModule(r)
+		runner := NewRunner(mod)
+		runner.MaxSteps = diffMaxSteps
+		for k := 0; k < 6; k++ {
+			input := make([]byte, r.Intn(33))
+			r.Read(input)
+			run := func(tr Tracer) *Result {
+				runner.Tracer = tr
+				return runner.Run(input)
+			}
+			// Alternate which mode runs first, so each mode also runs
+			// over state the other left behind.
+			var traced, untraced *Result
+			if k%2 == 0 {
+				untraced, traced = run(nil), run(noopTracer{})
+			} else {
+				traced, untraced = run(noopTracer{}), run(nil)
+			}
+			compareResults(t, fmt.Sprintf("program %d input %d", p, k), traced, untraced)
+		}
+	}
+}
+
+// TestTracerAfterUntracedRuns: a tracer attached to a Runner after
+// untraced runs must see fully rebuilt events, identical to a fresh
+// traced VM's, with no Args, Addr or Val left over from untraced
+// steps.
+func TestTracerAfterUntracedRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(0x57A1E))
+	for p := 0; p < 60; p++ {
+		mod := genModule(r)
+		runner := NewRunner(mod)
+		runner.MaxSteps = diffMaxSteps
+		input := make([]byte, 1+r.Intn(32))
+		r.Read(input)
+		for k := 0; k < 3; k++ {
+			runner.Run(input)
+		}
+
+		fresh := New(mod, input)
+		fresh.MaxSteps = diffMaxSteps
+		wantTr := &diffTracer{}
+		fresh.Tracer = wantTr
+		want := fresh.Run()
+
+		gotTr := &diffTracer{}
+		runner.Tracer = gotTr
+		got := runner.Run(input)
+		label := fmt.Sprintf("program %d", p)
+		compareRuns(t, label, want, got, wantTr, gotTr)
+		for i, ev := range gotTr.events {
+			op := ev.In.Op
+			if op != ir.Call && op != ir.CallB && ev.Args != nil {
+				t.Fatalf("%s: event %d (%v) carries stale Args %v", label, i, op, ev.Args)
+			}
+			if op != ir.Load && op != ir.Store && ev.Addr != 0 {
+				t.Fatalf("%s: event %d (%v) carries stale Addr %#x", label, i, op, ev.Addr)
+			}
+			if (op == ir.Nop || op == ir.Jmp || op == ir.Br) && ev.Val != 0 {
+				t.Fatalf("%s: event %d (%v) carries stale Val %d", label, i, op, ev.Val)
+			}
 		}
 	}
 }

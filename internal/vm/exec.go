@@ -25,12 +25,25 @@ func (v *VM) pushFrame(fn int32, args []uint64, retDst ir.Reg) {
 		v.stack[i] = 0
 	}
 	v.sp = newSP
-	fr := frame{fn: fn, regs: make([]uint64, f.NumRegs), fp: newSP, retDst: retDst}
-	v.frames = append(v.frames, fr)
+	v.frames = append(v.frames, frame{fn: fn, regs: v.frameRegs(f.NumRegs), fp: newSP, retDst: retDst})
 	// Store arguments into their frame slots.
 	for i, p := range f.Params {
 		v.storeMem(newSP+uint64(p.Off), p.W, args[i]&p.W.Mask())
 	}
+}
+
+// frameRegs returns a zeroed register file for a frame about to be
+// pushed, reusing the one a popped frame left in the slot above the
+// top of the frame stack: a call in a loop then allocates nothing.
+func (v *VM) frameRegs(n int32) []uint64 {
+	if len(v.frames) < cap(v.frames) {
+		if regs := v.frames[:len(v.frames)+1][len(v.frames)].regs; cap(regs) >= int(n) {
+			regs = regs[:n]
+			clear(regs)
+			return regs
+		}
+	}
+	return make([]uint64, n)
 }
 
 func (v *VM) popFrame(ret uint64) {
@@ -57,11 +70,29 @@ func (v *VM) emitEvent(ev *Event) {
 	}
 }
 
+// callArgs gathers a call's argument values into the VM's scratch
+// buffer. The values are consumed before the next instruction runs:
+// pushFrame stores them into the callee frame and builtins read them
+// at once, so one buffer serves every call.
+func (v *VM) callArgs(fr *frame, in *ir.Instr) []uint64 {
+	args := v.args[:0]
+	for _, r := range in.Args {
+		args = append(args, fr.regs[r])
+	}
+	v.args = args
+	return args
+}
+
 // exec runs one instruction; it returns true if the program halted
 // via exit().
 func (v *VM) exec(fr *frame, f *ir.Function, in *ir.Instr) bool {
 	ev := &v.ev
-	*ev = Event{Fn: fr.fn, PC: fr.pc, In: in, Depth: len(v.frames) - 1, FP: fr.fp}
+	// Untraced runs skip rebuilding the event: the field writes below
+	// still land in v.ev, but nothing reads them, and a tracer attached
+	// later sees every event rebuilt from scratch here first.
+	if v.Tracer != nil {
+		*ev = Event{Fn: fr.fn, PC: fr.pc, In: in, Depth: len(v.frames) - 1, FP: fr.fp}
+	}
 	nextPC := fr.pc + 1
 
 	switch in.Op {
@@ -138,10 +169,7 @@ func (v *VM) exec(fr *frame, f *ir.Function, in *ir.Instr) bool {
 		return false
 
 	case ir.Call:
-		args := make([]uint64, len(in.Args))
-		for i, r := range in.Args {
-			args[i] = fr.regs[r]
-		}
+		args := v.callArgs(fr, in)
 		ev.Args = args
 		fr.pc = nextPC // resume point after return
 		calleeFrame := v.sp - uint64(v.Mod.Funcs[in.Fn].FrameSize)
@@ -151,10 +179,7 @@ func (v *VM) exec(fr *frame, f *ir.Function, in *ir.Instr) bool {
 		return false
 
 	case ir.CallB:
-		args := make([]uint64, len(in.Args))
-		for i, r := range in.Args {
-			args[i] = fr.regs[r]
-		}
+		args := v.callArgs(fr, in)
 		ev.Args = args
 		halted := v.execBuiltin(fr, in, args, ev)
 		if halted {

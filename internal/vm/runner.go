@@ -52,9 +52,14 @@ func NewRunner(mod *ir.Module) *Runner {
 }
 
 // Run executes the module on the input from a fresh initial state.
+// The run's heap pages are dropped as it ends: a run that touched a
+// hundred megabytes of heap must not keep them live while the caller
+// prepares the next input.
 func (r *Runner) Run(input []byte) *Result {
 	r.v.Reset(input)
 	r.v.MaxSteps = r.MaxSteps
 	r.v.Tracer = r.Tracer
-	return r.v.Run()
+	res := r.v.Run()
+	clear(r.v.pages)
+	return res
 }

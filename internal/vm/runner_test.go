@@ -125,6 +125,48 @@ void main() {
 	}
 }
 
+// loopWorkload runs 100 loop iterations per unit of its input byte,
+// each calling a helper, touching globals and a heap block, and
+// reading the frame.
+const loopWorkload = `
+u32 acc[4];
+u32 step(u32 x, u32 k) {
+	return x * 3 + k;
+}
+void main() {
+	u32 n = (u32)in_u8() * 100;
+	u32* cell = (u32*)alloc(16);
+	u32 i = 0;
+	while (i < n) {
+		acc[i & 3] = step(acc[i & 3], i);
+		cell[i & 3] = cell[i & 3] + acc[i & 3];
+		i = i + 1;
+	}
+	out((u64)acc[0]);
+	exit(0);
+}
+`
+
+// TestRunnerUntracedAllocsFlat: an untraced run allocates per run, not
+// per step. Ten times the loop iterations must cost exactly the same
+// allocations, so a per-instruction or per-call allocation creeping
+// back into the VM fails this test on any host and under -race.
+func TestRunnerUntracedAllocsFlat(t *testing.T) {
+	mod := compileSrc(t, loopWorkload)
+	r := NewRunner(mod)
+	allocs := func(input []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if res := r.Run(input); !res.OK() {
+				t.Fatal(res.Trap)
+			}
+		})
+	}
+	short, long := allocs([]byte{10}), allocs([]byte{100})
+	if short != long {
+		t.Fatalf("untraced run allocations grow with work: %v at 1000 iterations, %v at 10000", short, long)
+	}
+}
+
 func BenchmarkRunnerReuse(b *testing.B) {
 	if testing.Short() {
 		b.Skip("benchmark skipped in short mode")

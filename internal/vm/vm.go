@@ -91,7 +91,7 @@ type Event struct {
 	A, B  uint64   // operand values
 	Addr  uint64   // Load/Store effective address
 	Taken bool     // Br direction
-	Args  []uint64 // Call/CallB argument values
+	Args  []uint64 // Call/CallB argument values (valid only during Step)
 
 	CalleeFP uint64 // Call: new frame's frame pointer
 	InOff    int    // input-reading builtin: first input byte consumed
@@ -100,7 +100,9 @@ type Event struct {
 }
 
 // Tracer observes execution. Step is called after each instruction's
-// effects are applied (except traps, which abort the run).
+// effects are applied (except traps, which abort the run). The VM
+// reuses one Event, and its Args buffer, for every step: a tracer that
+// keeps anything past Step must copy it.
 type Tracer interface {
 	Step(ev *Event)
 }
@@ -139,6 +141,7 @@ type VM struct {
 	exitCode int32
 	mainRet  int32
 	ev       Event
+	args     []uint64 // scratch for the executing call's argument values
 }
 
 // New prepares a VM for the module and input.
