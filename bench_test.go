@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -541,37 +542,9 @@ func TestFigure8MemoOnOffByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Figure-8 batches; runs in the full (non-short) suite")
 	}
-	run := func(cfg smt.Config) map[string][]byte {
-		eng := pipeline.NewEngine()
-		eng.Service = smt.NewService(cfg)
-		rows, _ := figure8.BatchRows(phage.Options{}, &pipeline.Batch{Engine: eng})
-		out := map[string][]byte{}
-		for _, r := range rows {
-			key := r.Recipient + "/" + r.Target + "<-" + r.Donor
-			if r.Err != nil {
-				t.Fatalf("%s failed: %v", key, r.Err)
-			}
-			rep := server.BuildReport(r.Recipient, r.Target, r.Donor, r.Result.Snapshot())
-			bs, err := rep.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[key] = bs
-		}
-		return out
-	}
-
-	on := run(smt.Config{})
-	off := run(smt.Config{DisableMemo: true})
-	if len(on) != len(off) {
-		t.Fatalf("row counts differ: %d vs %d", len(on), len(off))
-	}
-	for key, b1 := range on {
-		if string(b1) != string(off[key]) {
-			t.Errorf("%s: report bytes differ between memo on and off:\n  on:  %s\n  off: %s",
-				key, b1, off[key])
-		}
-	}
+	on, _ := coldBatch(t)
+	off := batchReports(t, smt.NewService(smt.Config{DisableMemo: true}))
+	diffReports(t, "memo on vs off", on, off)
 }
 
 // batchReports runs the complete Figure-8 batch against svc and
@@ -584,6 +557,14 @@ func batchReports(t *testing.T, svc *smt.Service) map[string][]byte {
 
 func batchReportsOpts(t *testing.T, svc *smt.Service, opts phage.Options) map[string][]byte {
 	t.Helper()
+	out, err := runBatchReports(svc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func runBatchReports(svc *smt.Service, opts phage.Options) (map[string][]byte, error) {
 	eng := pipeline.NewEngine()
 	eng.Service = svc
 	rows, _ := figure8.BatchRows(opts, &pipeline.Batch{Engine: eng})
@@ -591,16 +572,42 @@ func batchReportsOpts(t *testing.T, svc *smt.Service, opts phage.Options) map[st
 	for _, r := range rows {
 		key := r.Recipient + "/" + r.Target + "<-" + r.Donor
 		if r.Err != nil {
-			t.Fatalf("%s failed: %v", key, r.Err)
+			return nil, fmt.Errorf("%s failed: %w", key, r.Err)
 		}
 		rep := server.BuildReport(r.Recipient, r.Target, r.Donor, r.Result.Snapshot())
 		bs, err := rep.Marshal()
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		out[key] = bs
 	}
-	return out
+	return out, nil
+}
+
+// coldFixture is the default-configuration cold Figure-8 batch: one
+// fresh service answering the whole batch, every row's report
+// marshalled. A full cold batch costs tens of seconds, so it runs once
+// per test binary and every test that compares against, snapshots or
+// inspects a cold default batch shares it read-only. Tests must not
+// issue further queries on its service: they read its stats.
+var coldFixture struct {
+	once    sync.Once
+	svc     *smt.Service
+	reports map[string][]byte
+	err     error
+}
+
+// coldBatch returns the shared cold batch's reports and service.
+func coldBatch(t *testing.T) (map[string][]byte, *smt.Service) {
+	t.Helper()
+	coldFixture.once.Do(func() {
+		coldFixture.svc = smt.NewService(smt.Config{})
+		coldFixture.reports, coldFixture.err = runBatchReports(coldFixture.svc, phage.Options{})
+	})
+	if coldFixture.err != nil {
+		t.Fatal(coldFixture.err)
+	}
+	return coldFixture.reports, coldFixture.svc
 }
 
 func diffReports(t *testing.T, label string, a, b map[string][]byte) {
@@ -625,7 +632,7 @@ func TestFigure8TraceOnOffByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Figure-8 batches; runs in the full (non-short) suite")
 	}
-	off := batchReportsOpts(t, smt.NewService(smt.Config{}), phage.Options{})
+	off, _ := coldBatch(t)
 	on := batchReportsOpts(t, smt.NewService(smt.Config{}), phage.Options{Trace: true})
 	diffReports(t, "trace off vs on", off, on)
 }
@@ -668,7 +675,7 @@ func TestFigure8PortfolioOnOffByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full Figure-8 batches; runs in the full (non-short) suite")
 	}
-	racing := batchReports(t, smt.NewService(smt.Config{}))
+	racing, _ := coldBatch(t)
 	sequential := batchReports(t, smt.NewService(smt.Config{PortfolioSequential: true}))
 	single := batchReports(t, smt.NewService(smt.Config{PortfolioReplicas: 1}))
 	diffReports(t, "racing vs sequential", racing, sequential)
@@ -734,8 +741,7 @@ func TestFigure8PersistedMemoByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Figure-8 batches; runs in the full (non-short) suite")
 	}
-	coldSvc := smt.NewService(smt.Config{})
-	cold := batchReports(t, coldSvc)
+	cold, coldSvc := coldBatch(t)
 	snap := coldSvc.EncodeMemo()
 
 	warmSvc := smt.NewService(smt.Config{})
@@ -819,15 +825,7 @@ func TestFullBatchSharesSolverVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure-8 batch; runs in the full (non-short) suite")
 	}
-	svc := smt.NewService(smt.Config{})
-	eng := pipeline.NewEngine()
-	eng.Service = svc
-	rows, _ := figure8.BatchRows(phage.Options{}, &pipeline.Batch{Engine: eng})
-	for _, r := range rows {
-		if r.Err != nil {
-			t.Fatalf("%s/%s <- %s failed: %v", r.Recipient, r.Target, r.Donor, r.Err)
-		}
-	}
+	_, svc := coldBatch(t)
 	st := svc.Stats()
 	t.Logf("full-batch service stats: %+v", st)
 	if st.MemoHits == 0 {
